@@ -31,35 +31,34 @@ if [[ ! -x "$report" ]]; then
     exit 2
 fi
 
-benches=(
-    fig03_static_mapping
-    fig04_dynamic_mapping
-    fig05_code_size
-    fig06_power_breakdown
-    fig07_switching_power
-    fig08_internal_power
-    fig09_leakage_power
-    fig10_peak_power
-    fig11_total_cache_power
-    fig12_chip_power
-    fig13_miss_rate
-    fig14_ipc
-    abl_dictionary_sweep
-    abl_register_sweep
-    abl_cache_geometry
-    abl_synthesis_features
-    ext_chip_power
-    ext_code_compression
-    ext_fetch_packing
-    ext_issue_width
-    ext_dcache_power
-    ext_profile_fidelity
-    ext_fault_resilience
-    ext_phase_behavior
-    ext_way_memo
-    ext_leakage_policy
-    fig11_total_cache_power+dvs
-)
+# The bench registry (bench/benches.txt): the same list CMake builds.
+mapfile -t benches < <(grep -E '^[a-z]' "$repo/bench/benches.txt")
+if [[ ${#benches[@]} -eq 0 ]]; then
+    echo "bench_regress: empty bench registry $repo/bench/benches.txt" >&2
+    exit 2
+fi
+
+# Fail before running anything when a listed bench has no baseline
+# entry for either backend: the suite diff reports a bench the
+# baseline lacks as informational, so it would go ungated.
+if [[ "$update" != "--update" ]]; then
+    if [[ ! -f "$baseline" ]]; then
+        echo "bench_regress: MISSING BASELINE $baseline (run with --update)" >&2
+        exit 1
+    fi
+    missing=0
+    for bench in "${benches[@]}"; do
+        for id in "$bench" "$bench+fast"; do
+            if ! grep -qF "\"tool\": \"$id\"" "$baseline"; then
+                echo "bench_regress: MISSING BASELINE ENTRY $id (run with --update)" >&2
+                missing=1
+            fi
+        done
+    done
+    if [[ $missing -ne 0 ]]; then
+        exit 1
+    fi
+fi
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -115,11 +114,6 @@ if [[ "$update" == "--update" ]]; then
     cp "$suite" "$baseline"
     echo "bench_regress: baseline updated ($baseline)"
     exit 0
-fi
-
-if [[ ! -f "$baseline" ]]; then
-    echo "bench_regress: MISSING BASELINE $baseline (run with --update)" >&2
-    exit 1
 fi
 
 # --ignore-time: the baseline's wall times were measured on whatever

@@ -44,35 +44,12 @@ fi
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 golden="$repo/tests/golden"
 
-benches=(
-    fig03_static_mapping
-    fig04_dynamic_mapping
-    fig05_code_size
-    fig06_power_breakdown
-    fig07_switching_power
-    fig08_internal_power
-    fig09_leakage_power
-    fig10_peak_power
-    fig11_total_cache_power
-    fig12_chip_power
-    fig13_miss_rate
-    fig14_ipc
-    abl_dictionary_sweep
-    abl_register_sweep
-    abl_cache_geometry
-    abl_synthesis_features
-    ext_chip_power
-    ext_code_compression
-    ext_fetch_packing
-    ext_issue_width
-    ext_dcache_power
-    ext_profile_fidelity
-    ext_fault_resilience
-    ext_phase_behavior
-    ext_way_memo
-    ext_leakage_policy
-    fig11_total_cache_power+dvs
-)
+# The bench registry (bench/benches.txt): the same list CMake builds.
+mapfile -t benches < <(grep -E '^[a-z]' "$repo/bench/benches.txt")
+if [[ ${#benches[@]} -eq 0 ]]; then
+    echo "golden: empty bench registry $repo/bench/benches.txt" >&2
+    exit 2
+fi
 
 mkdir -p "$golden"
 status=0

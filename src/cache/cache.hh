@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -29,6 +30,13 @@ enum class ReplPolicy : uint8_t { LRU, FIFO, RANDOM, ROUND_ROBIN };
 
 /** @return the textual name of a replacement policy. */
 const char *replPolicyName(ReplPolicy policy);
+
+template <>
+struct FieldEnum<ReplPolicy>
+{
+    static constexpr auto name = replPolicyName;
+    static constexpr ReplPolicy kLast = ReplPolicy::ROUND_ROBIN;
+};
 
 /** Static configuration of one cache. */
 struct CacheConfig
@@ -54,6 +62,20 @@ struct CacheConfig
      * the same bound instead of the constructor discovering it later.
      */
     static constexpr uint32_t kMaxAssoc = 1u << 16;
+
+    /** The field list (common/fields.hh): memo key, wire and store. */
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("name", name);
+        v("size_bytes", sizeBytes);
+        v("assoc", assoc);
+        v("line_bytes", lineBytes);
+        v("policy", policy);
+        v("write_back", writeBack);
+        v("parity", parity);
+    }
 
     uint32_t numLines() const { return sizeBytes / lineBytes; }
     uint32_t numSets() const { return numLines() / assoc; }
@@ -122,6 +144,23 @@ struct CacheStats
      * the hint, so the next same-line fetch does.
      */
     uint64_t wayMemoHits = 0;
+
+    //! The field list (common/fields.hh); way_memo_hits is optional
+    //! so stores written before the counter existed stay loadable.
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("reads", reads);
+        v("writes", writes);
+        v("read_misses", readMisses);
+        v("write_misses", writeMisses);
+        v("writebacks", writebacks);
+        v("faults_injected", faultsInjected);
+        v("parity_detections", parityDetections);
+        v("corrupt_deliveries", corruptDeliveries);
+        v("way_memo_hits", wayMemoHits, kFieldOptional);
+    }
 
     uint64_t accesses() const { return reads + writes; }
     uint64_t misses() const { return readMisses + writeMisses; }

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -56,6 +57,16 @@ struct FaultParams
      */
     uint64_t icacheMeanInterval = 0;
     uint64_t memoryMeanInterval = 0;
+
+    /** The field list (common/fields.hh): memo key and wire. */
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("seed", seed, kFieldHex);
+        v("icache_mean_interval", icacheMeanInterval);
+        v("memory_mean_interval", memoryMeanInterval);
+    }
 
     /** @return true when any run-time target is armed. */
     bool

@@ -1,7 +1,9 @@
 #include "exp/simcache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -72,15 +74,64 @@ hashUop(Hasher &h, const MicroOp &uop)
         static_cast<uint32_t>(uop.branchOffset)));
 }
 
-void
-hashCache(Hasher &h, const CacheConfig &cfg)
+/**
+ * The memo-key rules over fields() (DESIGN.md §10): string = length +
+ * bytes, integer/enum = u64, double = u64(x * 1e3), consecutive bools
+ * = one u64 (bit i = i-th bool), kFieldOmitDefault = nothing while
+ * default, else u64(value + 1).
+ */
+struct FieldHasher
 {
-    h.str(cfg.name);
-    h.u64(cfg.sizeBytes);
-    h.u64(cfg.assoc);
-    h.u64(cfg.lineBytes);
-    h.u64(static_cast<uint64_t>(cfg.policy));
-    h.u64((cfg.writeBack ? 1u : 0u) | (cfg.parity ? 2u : 0u));
+    Hasher &h;
+    uint64_t bools = 0; //!< the pending run of consecutive bools
+    unsigned numBools = 0;
+
+    template <typename T>
+    void
+    operator()(const char *, const T &x, unsigned attr = kFieldPlain)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            bools |= static_cast<uint64_t>(x) << numBools++;
+            return;
+        }
+        flush();
+        if constexpr (std::is_same_v<T, std::string>) {
+            h.str(x);
+        } else if constexpr (std::is_same_v<T, double>) {
+            // Out-of-range values (wire input) hash by bit pattern:
+            // converting them would be undefined behaviour.
+            const double milli = x * 1e3;
+            h.u64(milli >= 0.0 && milli < 0x1p64
+                      ? static_cast<uint64_t>(milli)
+                      : std::bit_cast<uint64_t>(x));
+        } else if constexpr (HasFields<T>) {
+            visitFields(x, *this);
+            flush();
+        } else if (!(attr & kFieldOmitDefault)) {
+            h.u64(static_cast<uint64_t>(x));
+        } else if (x != T{}) {
+            h.u64(static_cast<uint64_t>(x) + 1);
+        }
+    }
+
+    void
+    flush()
+    {
+        if (numBools != 0)
+            h.u64(bools);
+        bools = 0;
+        numBools = 0;
+    }
+};
+
+/** Fold every field of @p s into @p h. */
+template <typename T>
+void
+hashFields(Hasher &h, const T &s)
+{
+    FieldHasher fh{h};
+    visitFields(s, fh);
+    fh.flush();
 }
 
 } // namespace
@@ -117,21 +168,7 @@ uint64_t
 hashCoreConfig(const CoreConfig &core)
 {
     Hasher h;
-    h.str(core.name);
-    h.u64(core.issueWidth);
-    h.u64(core.branchPenalty);
-    h.u64(core.icacheMissPenalty);
-    h.u64(core.dcacheMissPenalty);
-    hashCache(h, core.icache);
-    hashCache(h, core.dcache);
-    h.u64(core.maxInstructions);
-    h.u64(static_cast<uint64_t>(core.clockHz * 1e3));
-    h.u64(core.packedFetch ? 1 : 0);
-    // Hashed only when non-default: the backends are result-equivalent,
-    // but cached artifacts must say which loop actually produced them —
-    // and every pre-existing interp memo key must keep its value.
-    if (core.backend != SimBackend::Interp)
-        h.u64(static_cast<uint64_t>(core.backend) + 1);
+    hashFields(h, core);
     return h.h;
 }
 
@@ -144,14 +181,7 @@ hashChipConfig(const ChipConfig &chip)
     if (chip.isDefault())
         return 0;
     Hasher h;
-    h.u64(chip.tiles);
-    h.u64(chip.quantum);
-    h.u64(chip.sharedL2 ? 1 : 0);
-    hashCache(h, chip.l2);
-    h.u64(chip.l2HitPenalty);
-    h.u64(chip.l2MissPenalty);
-    h.u64(chip.upgradePenalty);
-    h.u64(chip.tileShift);
+    hashFields(h, chip);
     return h.h;
 }
 
@@ -174,9 +204,7 @@ hashFaultParams(const FaultParams &faults, unsigned max_retries)
     if (!faults.enabled())
         return 0;
     Hasher h;
-    h.u64(faults.seed);
-    h.u64(faults.icacheMeanInterval);
-    h.u64(faults.memoryMeanInterval);
+    hashFields(h, faults);
     h.u64(max_retries);
     return h.h;
 }
@@ -200,10 +228,7 @@ size_t
 SimCache::KeyHash::operator()(const SimCacheKey &k) const
 {
     Hasher h;
-    h.u64(k.program);
-    h.u64(k.config);
-    h.u64(k.faults);
-    h.u64(k.observers);
+    hashFields(h, k);
     return static_cast<size_t>(h.h);
 }
 

@@ -22,6 +22,7 @@
 #define POWERFITS_EXP_SIMCACHE_HH
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -99,6 +100,18 @@ struct SimResult
 
     //! Chip-run extras; run is tile 0's result in that case.
     ChipRunStats chip;
+
+    //! The field list (common/fields.hh). chip is not on the wire:
+    //! chip runs never travel through the daemon.
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("run", run);
+        v("fault_retries", faultRetries);
+        v("intervals", intervals);
+        v("trace_path", tracePath);
+    }
 };
 
 /** One memo entry's content hashes, for run-manifest provenance. */
@@ -109,12 +122,19 @@ struct SimCacheKey
     uint64_t faults;    //!< hashFaultParams (0 = no faults)
     uint64_t observers; //!< hashObserverSpec (0 = no instruments)
 
-    bool
-    operator==(const SimCacheKey &o) const
+    /** The field list (common/fields.hh): the store entry's "key". */
+    template <typename V>
+    void
+    fields(V &v)
     {
-        return program == o.program && config == o.config &&
-               faults == o.faults && observers == o.observers;
+        v("program", program, kFieldHex);
+        v("config", config, kFieldHex);
+        v("faults", faults, kFieldHex);
+        v("observers", observers, kFieldHex);
     }
+
+    //! Equality and the field-by-field order std::map keys need.
+    auto operator<=>(const SimCacheKey &) const = default;
 };
 
 /** Process-wide memoization cache over Machine::run. */

@@ -219,6 +219,17 @@ struct Flags
     bool z = false;
     bool c = false;
     bool v = false;
+
+    /** The field list (common/fields.hh). */
+    template <typename V>
+    void
+    fields(V &vis)
+    {
+        vis("n", n);
+        vis("z", z);
+        vis("c", c);
+        vis("v", v);
+    }
 };
 
 /** @return true when @p cond passes under @p flags. */

@@ -14,7 +14,9 @@
 #ifndef POWERFITS_OBS_JSON_HH
 #define POWERFITS_OBS_JSON_HH
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -93,6 +95,9 @@ class JsonWriter
     bool done_ = false;
 };
 
+/** Deepest array/object nesting JsonValue::parse accepts. */
+inline constexpr unsigned kMaxJsonDepth = 256;
+
 /**
  * A parsed JSON document node. Numbers are stored as doubles — the
  * repo's manifests encode 64-bit hashes as hex *strings* precisely so
@@ -149,7 +154,8 @@ class JsonValue
 
     /**
      * Parse one JSON document (must consume all non-whitespace input).
-     * Throws FatalError with a line/column diagnostic on bad input.
+     * Throws FatalError with a line/column diagnostic on bad input,
+     * including arrays/objects nested deeper than kMaxJsonDepth.
      */
     static JsonValue parse(const std::string &text);
 
@@ -166,6 +172,25 @@ class JsonValue
     std::vector<JsonValue> array_;
     std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+/**
+ * The checked conversion for numbers from outside input: @return false
+ * unless @p v is a number that unsigned T holds exactly — where a plain
+ * cast would wrap (-1), truncate (2.5) or be undefined (1e300).
+ */
+template <typename T>
+bool
+jsonToUnsigned(const JsonValue &v, T *out)
+{
+    // max() + 1 is a power of two, so the bound is exact as a double.
+    const double limit =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    const double d = v.isNumber() ? v.asNumber() : -1.0;
+    if (!(d >= 0.0 && d < limit) || d != std::floor(d))
+        return false;
+    *out = static_cast<T>(d);
+    return true;
+}
 
 } // namespace pfits
 

@@ -75,6 +75,21 @@ struct ChipConfig
      */
     unsigned tileShift = 26;
 
+    /** The field list (common/fields.hh): the chip's memo-key half. */
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("tiles", tiles);
+        v("quantum", quantum);
+        v("shared_l2", sharedL2);
+        v("l2", l2);
+        v("l2_hit_penalty", l2HitPenalty);
+        v("l2_miss_penalty", l2MissPenalty);
+        v("upgrade_penalty", upgradePenalty);
+        v("tile_shift", tileShift);
+    }
+
     /** The do-nothing config: one tile, no shared L2 — a Machine. */
     bool
     isDefault() const

@@ -27,6 +27,16 @@ struct CpuState
     uint32_t regs[NUM_REGS] = {};
     Flags flags;
     bool halted = false;
+
+    /** The field list (common/fields.hh). */
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("regs", regs);
+        v("flags", flags);
+        v("halted", halted);
+    }
 };
 
 /** Index <-> byte-address mapping for one instruction stream. */
@@ -89,6 +99,15 @@ struct IoSinks
 {
     std::string console;
     std::vector<uint32_t> emitted;
+
+    /** The field list (common/fields.hh). */
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("console", console);
+        v("emitted", emitted);
+    }
 };
 
 /**

@@ -34,6 +34,7 @@
 
 #include "cache/cache.hh"
 #include "common/fault.hh"
+#include "common/fields.hh"
 #include "sim/executor.hh"
 #include "sim/frontend.hh"
 #include "sim/memory.hh"
@@ -59,6 +60,13 @@ enum class RunOutcome : uint8_t
 /** @return "completed"/"trapped"/"watchdog-expired"/"fault-detected". */
 const char *runOutcomeName(RunOutcome outcome);
 
+template <>
+struct FieldEnum<RunOutcome>
+{
+    static constexpr auto name = runOutcomeName;
+    static constexpr RunOutcome kLast = RunOutcome::FaultDetected;
+};
+
 /**
  * Which execution loop a Machine runs.
  *
@@ -80,6 +88,13 @@ enum class SimBackend : uint8_t
 
 /** @return "interp" or "fast". */
 const char *simBackendName(SimBackend backend);
+
+template <>
+struct FieldEnum<SimBackend>
+{
+    static constexpr auto name = simBackendName;
+    static constexpr SimBackend kLast = SimBackend::Fast;
+};
 
 /**
  * Parse "interp"/"fast" into @p backend.
@@ -126,6 +141,25 @@ struct CoreConfig
      * only when non-default so existing interp keys stay stable.
      */
     SimBackend backend = SimBackend::Interp;
+
+    //! The field list (common/fields.hh). backend is omitted while
+    //! default: interp memo keys and requests predate it.
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("name", name);
+        v("issue_width", issueWidth);
+        v("branch_penalty", branchPenalty);
+        v("icache_miss_penalty", icacheMissPenalty);
+        v("dcache_miss_penalty", dcacheMissPenalty);
+        v("icache", icache);
+        v("dcache", dcache);
+        v("max_instructions", maxInstructions);
+        v("clock_hz", clockHz);
+        v("packed_fetch", packedFetch);
+        v("backend", backend, kFieldOmitDefault);
+    }
 };
 
 /** Everything a run produces, for the metrics and power layers. */
@@ -152,6 +186,30 @@ struct RunResult
     CpuState finalState;
     RunOutcome outcome = RunOutcome::Trapped;
     std::string trapReason;    //!< diagnostic for non-Completed outcomes
+
+    /** The field list (common/fields.hh): store entries and diffs. */
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("benchmark", benchmark);
+        v("config", config);
+        v("instructions", instructions);
+        v("annulled", annulled);
+        v("cycles", cycles);
+        v("clock_hz", clockHz);
+        v("icache", icache);
+        v("dcache", dcache);
+        v("fetch_toggle_bits", fetchToggleBits);
+        v("fetch_bits_total", fetchBitsTotal);
+        v("icache_refill_words", icacheRefillWords);
+        v("dmem_accesses", dmemAccesses);
+        v("taken_branches", takenBranches);
+        v("io", io);
+        v("final_state", finalState);
+        v("outcome", outcome);
+        v("trap_reason", trapReason);
+    }
 
     double
     ipc() const

@@ -329,6 +329,20 @@ struct IntervalSample
     uint64_t toggleBits = 0;
     uint64_t fetchBits = 0;
 
+    /** The field list (common/fields.hh). */
+    template <typename V>
+    void
+    fields(V &v)
+    {
+        v("first_instruction", firstInstruction);
+        v("instructions", instructions);
+        v("cycles", cycles);
+        v("icache_accesses", icacheAccesses);
+        v("icache_misses", icacheMisses);
+        v("toggle_bits", toggleBits);
+        v("fetch_bits", fetchBits);
+    }
+
     double
     ipc() const
     {

@@ -23,8 +23,10 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/fault.hh"
+#include "common/fields.hh"
 #include "exp/simcache.hh"
 #include "obs/json.hh"
 #include "sim/machine.hh"
@@ -68,28 +70,163 @@ std::string hexString(uint64_t v);
 /** Parse a "0x<hex>" string. @return false on malformed input. */
 bool parseHexU64(const std::string &s, uint64_t *out);
 
-/** Emit @p key as {"program":"0x..","config":..,"faults":..,"observers":..}. */
-void writeKeyJson(JsonWriter &w, const SimCacheKey &key);
+namespace detail
+{
 
-/** Parse writeKeyJson output. @return false when fields are missing. */
-bool parseKeyJson(const JsonValue &v, SimCacheKey *key);
+/** The JSON writer over fields() (see writeFieldsJson). */
+struct JsonFieldWriter
+{
+    JsonWriter &w;
+
+    template <typename T>
+    void
+    operator()(const char *name, const T &x, unsigned attr = kFieldPlain)
+    {
+        if constexpr (std::is_scalar_v<T>)
+            if ((attr & kFieldOmitDefault) && x == T{})
+                return;
+        w.key(name);
+        value(x, attr);
+    }
+
+    template <typename T>
+    void
+    value(const T &x, unsigned attr)
+    {
+        if constexpr (HasFields<T>) {
+            w.beginObject();
+            visitFields(x, *this);
+            w.endObject();
+        } else if constexpr (kIsFieldSequence<T>) {
+            w.beginArray();
+            for (const auto &e : x)
+                value(e, attr);
+            w.endArray();
+        } else if constexpr (std::is_enum_v<T>) {
+            w.value(FieldEnum<T>::name(x));
+        } else if constexpr (std::is_same_v<T, bool> ||
+                             !std::is_integral_v<T>) {
+            w.value(x);
+        } else if (attr & kFieldHex) {
+            w.hexValue(x);
+        } else {
+            w.value(static_cast<uint64_t>(x));
+        }
+    }
+};
+
+/** The JSON reader over fields() (see parseFieldsJson). */
+struct JsonFieldReader
+{
+    const JsonValue *obj = nullptr; //!< the object being read
+    bool ok = true;                 //!< false from the first bad field
+
+    template <typename T>
+    void
+    operator()(const char *name, T &x, unsigned attr = kFieldPlain)
+    {
+        const JsonValue &f = obj->get(name);
+        if constexpr (std::is_scalar_v<T>) {
+            if (f.isNull() &&
+                (attr & (kFieldOptional | kFieldOmitDefault))) {
+                x = T{};
+                return;
+            }
+        }
+        ok = ok && read(f, x, attr);
+    }
+
+    template <typename T>
+    bool
+    read(const JsonValue &v, T &x, unsigned attr)
+    {
+        if constexpr (HasFields<T>) {
+            if (!v.isObject())
+                return false;
+            const JsonValue *outer = obj;
+            obj = &v;
+            x.fields(*this);
+            obj = outer;
+            return ok;
+        } else if constexpr (kIsFieldSequence<T>) {
+            if (!v.isArray())
+                return false;
+            const std::vector<JsonValue> &items = v.asArray();
+            if constexpr (std::is_array_v<T>) {
+                if (items.size() != std::size(x))
+                    return false;
+            } else {
+                x.assign(items.size(), {});
+            }
+            for (size_t i = 0; i < items.size(); ++i)
+                if (!read(items[i], x[i], attr))
+                    return false;
+            return true;
+        } else if constexpr (std::is_enum_v<T>) {
+            return v.isString() && parseFieldEnum(v.asString(), &x);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            if (v.isBool())
+                x = v.asBool();
+            return v.isBool();
+        } else if constexpr (std::is_same_v<T, double>) {
+            if (v.isNumber())
+                x = v.asNumber();
+            return v.isNumber();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            if (v.isString())
+                x = v.asString();
+            return v.isString();
+        } else if (attr & kFieldHex) {
+            uint64_t h = 0;
+            if (!v.isString() || !parseHexU64(v.asString(), &h) ||
+                h > std::numeric_limits<T>::max())
+                return false;
+            x = static_cast<T>(h);
+            return true;
+        } else {
+            return jsonToUnsigned(v, &x);
+        }
+    }
+};
+
+} // namespace detail
+
+/**
+ * Emit every field of @p s (common/fields.hh) as one JSON object in
+ * fields() order: enums by name, kFieldHex integers as "0x…" strings,
+ * kFieldOmitDefault fields only when non-default.
+ */
+template <typename T>
+void
+writeFieldsJson(JsonWriter &w, const T &s)
+{
+    detail::JsonFieldWriter{w}.value(s, kFieldPlain);
+}
+
+/**
+ * Fill @p s from a writeFieldsJson object. @return false when a field
+ * is missing (and not optional), has the wrong JSON type, names no
+ * enumerator, or holds a number its member cannot represent exactly.
+ */
+template <typename T>
+bool
+parseFieldsJson(const JsonValue &v, T *s)
+{
+    return detail::JsonFieldReader{}.read(v, *s, kFieldPlain);
+}
 
 /** The store-relative filename an entry for @p key lives under. */
 std::string keyFileName(const SimCacheKey &key);
 
-void writeCoreConfigJson(JsonWriter &w, const CoreConfig &core);
-bool parseCoreConfigJson(const JsonValue &v, CoreConfig *core);
-
-void writeFaultParamsJson(JsonWriter &w, const FaultParams &faults);
-bool parseFaultParamsJson(const JsonValue &v, FaultParams *faults);
-
-// --- result serialization ------------------------------------------------
-
-/** Emit @p result (run counters, retries, intervals, trace path). */
-void writeSimResultJson(JsonWriter &w, const SimResult &result);
-
-/** Parse writeSimResultJson output. @return false on shape errors. */
-bool parseSimResultJson(const JsonValue &v, SimResult *result);
+// The per-struct codecs: writeFieldsJson/parseFieldsJson by name.
+inline constexpr auto &writeKeyJson = writeFieldsJson<SimCacheKey>;
+inline constexpr auto &parseKeyJson = parseFieldsJson<SimCacheKey>;
+inline constexpr auto &writeCoreConfigJson = writeFieldsJson<CoreConfig>;
+inline constexpr auto &parseCoreConfigJson = parseFieldsJson<CoreConfig>;
+inline constexpr auto &writeFaultParamsJson = writeFieldsJson<FaultParams>;
+inline constexpr auto &parseFaultParamsJson = parseFieldsJson<FaultParams>;
+inline constexpr auto &writeSimResultJson = writeFieldsJson<SimResult>;
+inline constexpr auto &parseSimResultJson = parseFieldsJson<SimResult>;
 
 // --- store entries -------------------------------------------------------
 

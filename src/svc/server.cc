@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <system_error>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -96,19 +97,6 @@ unsupportedResponse(const std::string &reason)
 
 } // namespace
 
-bool
-SvcServer::KeyLess::operator()(const SimCacheKey &a,
-                               const SimCacheKey &b) const
-{
-    if (a.program != b.program)
-        return a.program < b.program;
-    if (a.config != b.config)
-        return a.config < b.config;
-    if (a.faults != b.faults)
-        return a.faults < b.faults;
-    return a.observers < b.observers;
-}
-
 SvcServer::SvcServer(SvcServerConfig config)
     : config_(std::move(config))
 {
@@ -198,9 +186,8 @@ SvcServer::stop()
         for (auto &kv : inflight_)
             kv.second->cv.notify_all();
     }
-    for (std::thread &t : connThreads_)
-        if (t.joinable())
-            t.join();
+    for (ConnThread &conn : connThreads_)
+        conn.thread.join();
     connThreads_.clear();
 
     {
@@ -236,10 +223,38 @@ SvcServer::acceptLoop()
             ::close(fd);
             break;
         }
+        // Join the connections that have ended; otherwise every
+        // connection ever served would hold a thread until stop().
+        connThreads_.remove_if([](ConnThread &conn) {
+            if (conn.done)
+                conn.thread.join();
+            return conn.done;
+        });
+        auto conn = connThreads_.emplace(connThreads_.end());
+        try {
+            conn->thread = std::thread([this, fd, conn] {
+                connectionLoop(fd);
+                std::lock_guard<std::mutex> done_lock(connMu_);
+                conn->done = true;
+            });
+        } catch (const std::system_error &e) {
+            // Out of threads: drop this one connection (its client
+            // sees EOF and degrades to local simulation), keep serving.
+            connThreads_.erase(conn);
+            ::close(fd);
+            warn_every_n(1000, "pfitsd: connection dropped: %s",
+                         e.what());
+            continue;
+        }
         connFds_.insert(fd);
-        connThreads_.emplace_back(
-            [this, fd] { connectionLoop(fd); });
     }
+}
+
+size_t
+SvcServer::connectionThreads()
+{
+    std::lock_guard<std::mutex> lock(connMu_);
+    return connThreads_.size();
 }
 
 void
@@ -489,17 +504,16 @@ SvcServer::handleSim(const JsonValue &req)
         !parseFaultParamsJson(req.get("faults"), &faults))
         return errorResponse("sim: bad fault params");
     unsigned max_retries = 0;
-    if (req.get("max_retries").isNumber())
-        max_retries = static_cast<unsigned>(
-            req.get("max_retries").asNumber());
+    if (req.has("max_retries") &&
+        !jsonToUnsigned(req.get("max_retries"), &max_retries))
+        return errorResponse("sim: bad max_retries");
     ObserverSpec spec;
     if (req.has("observers")) {
         const JsonValue &ov = req.get("observers");
         if (!ov.isObject() ||
-            !ov.get("interval_instructions").isNumber())
+            !jsonToUnsigned(ov.get("interval_instructions"),
+                            &spec.intervalInstructions))
             return errorResponse("sim: bad observers");
-        spec.intervalInstructions = static_cast<uint64_t>(
-            ov.get("interval_instructions").asNumber());
     }
     int64_t deadline_at = nowMs() + resolveDeadlineMs(req);
 

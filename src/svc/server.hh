@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -92,6 +93,10 @@ class SvcServer
 
     /** The store (valid between start() and stop()); test access. */
     ResultStore &store() { return *store_; }
+
+    /** Connection threads not yet joined (ended ones are joined as new
+     *  connections arrive); test access. */
+    size_t connectionThreads();
 
   private:
     /** One single-flight slot: a key being computed or leased out. */
@@ -154,8 +159,15 @@ class SvcServer
     int64_t startMs_ = 0; //!< steady-clock ms at start(); stats uptime
 
     std::thread acceptThread_;
+    /** One connection's thread; done once its socket is closed. */
+    struct ConnThread
+    {
+        std::thread thread;
+        bool done = false; //!< guarded by connMu_
+    };
+
     std::mutex connMu_;
-    std::vector<std::thread> connThreads_;
+    std::list<ConnThread> connThreads_;
     std::set<int> connFds_; //!< open sockets, shutdown() on stop
 
     std::mutex workMu_;
@@ -164,11 +176,7 @@ class SvcServer
     std::vector<std::thread> workers_;
 
     std::mutex inflightMu_; //!< guards inflight_ and every Inflight
-    struct KeyLess
-    {
-        bool operator()(const SimCacheKey &a, const SimCacheKey &b) const;
-    };
-    std::map<SimCacheKey, std::shared_ptr<Inflight>, KeyLess> inflight_;
+    std::map<SimCacheKey, std::shared_ptr<Inflight>> inflight_;
 
     std::mutex benchMu_; //!< guards benchCache_
     std::map<std::string, std::shared_ptr<PreparedBench>> benchCache_;

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "exp/simcache.hh"
 #include "sim/chip.hh"
@@ -22,20 +24,6 @@ namespace pfits
 {
 namespace
 {
-
-void
-expectSameCache(const char *what, const CacheStats &a,
-                const CacheStats &b)
-{
-    EXPECT_EQ(a.reads, b.reads) << what;
-    EXPECT_EQ(a.writes, b.writes) << what;
-    EXPECT_EQ(a.readMisses, b.readMisses) << what;
-    EXPECT_EQ(a.writeMisses, b.writeMisses) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected) << what;
-    EXPECT_EQ(a.parityDetections, b.parityDetections) << what;
-    EXPECT_EQ(a.corruptDeliveries, b.corruptDeliveries) << what;
-}
 
 /** Architectural equality: what contention may never change. */
 void
@@ -57,18 +45,11 @@ expectSameArch(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.io.emitted, b.io.emitted);
 }
 
-/** Full equality: architecture plus timing, caches and activity. */
+/** Full equality: every RunResult field (fields(), common/fields.hh). */
 void
 expectSameRun(const RunResult &a, const RunResult &b)
 {
-    expectSameArch(a, b);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.fetchToggleBits, b.fetchToggleBits);
-    EXPECT_EQ(a.fetchBitsTotal, b.fetchBitsTotal);
-    EXPECT_EQ(a.icacheRefillWords, b.icacheRefillWords);
-    EXPECT_EQ(a.dmemAccesses, b.dmemAccesses);
-    expectSameCache("icache", a.icache, b.icache);
-    expectSameCache("dcache", a.dcache, b.dcache);
+    EXPECT_EQ(diffFields(a, b), std::vector<std::string>());
 }
 
 TEST(Chip, OneTileDefaultChipIsAMachine)

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "assembler/assembler.hh"
 #include "assembler/builder.hh"
 #include "common/fault.hh"
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "exp/figures.hh"
 #include "fits/fits_frontend.hh"
@@ -354,32 +356,7 @@ expectFastMatchesInterp(const Program &prog, CoreConfig core,
             res[i] = m.run();
         }
     }
-    const RunResult &a = res[0], &b = res[1];
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.trapReason, b.trapReason);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.annulled, b.annulled);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.dmemAccesses, b.dmemAccesses);
-    EXPECT_EQ(a.fetchToggleBits, b.fetchToggleBits);
-    EXPECT_EQ(a.fetchBitsTotal, b.fetchBitsTotal);
-    EXPECT_EQ(a.icacheRefillWords, b.icacheRefillWords);
-    EXPECT_EQ(a.icache.reads, b.icache.reads);
-    EXPECT_EQ(a.icache.readMisses, b.icache.readMisses);
-    EXPECT_EQ(a.icache.faultsInjected, b.icache.faultsInjected);
-    EXPECT_EQ(a.icache.parityDetections, b.icache.parityDetections);
-    EXPECT_EQ(a.icache.corruptDeliveries, b.icache.corruptDeliveries);
-    EXPECT_EQ(a.dcache.reads, b.dcache.reads);
-    EXPECT_EQ(a.dcache.writes, b.dcache.writes);
-    EXPECT_EQ(a.dcache.readMisses, b.dcache.readMisses);
-    EXPECT_EQ(a.dcache.writeMisses, b.dcache.writeMisses);
-    EXPECT_EQ(a.dcache.writebacks, b.dcache.writebacks);
-    for (int r = 0; r < 16; ++r)
-        EXPECT_EQ(a.finalState.regs[r], b.finalState.regs[r]) << r;
-    EXPECT_EQ(a.finalState.halted, b.finalState.halted);
-    EXPECT_EQ(a.io.console, b.io.console);
-    EXPECT_EQ(a.io.emitted, b.io.emitted);
+    EXPECT_EQ(diffFields(res[0], res[1]), std::vector<std::string>());
 }
 
 TEST(FastBackendRegression, TrapInsideStraightLineRunMatchesInterp)

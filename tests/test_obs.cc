@@ -66,6 +66,37 @@ TEST(Json, ParserRejectsMalformedInput)
     EXPECT_THROW(JsonValue::parse("nope"), FatalError);
 }
 
+TEST(Json, NestingDepthIsCapped)
+{
+    // 100,000 open brackets used to overflow the recursive parser's
+    // stack; pfitsd parses every frame with it, so hostile nesting
+    // must be a parse error instead.
+    std::string objects;
+    for (int i = 0; i < 100'000; ++i)
+        objects += "{\"a\":";
+    for (const std::string &hostile :
+         {std::string(100'000, '['), objects}) {
+        try {
+            JsonValue::parse(hostile);
+            ADD_FAILURE() << "parsed " << hostile.substr(0, 8);
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    auto nested = [](unsigned depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(JsonValue::parse(nested(kMaxJsonDepth)));
+    EXPECT_THROW(JsonValue::parse(nested(kMaxJsonDepth + 1)), FatalError);
+    // Depth counts open containers, not siblings.
+    std::string wide = "[";
+    for (unsigned i = 0; i < 2 * kMaxJsonDepth; ++i)
+        wide += i ? ",[{}]" : "[{}]";
+    EXPECT_NO_THROW(JsonValue::parse(wide + "]"));
+}
+
 TEST(Json, ParserHandlesEscapesAndUnicode)
 {
     JsonValue doc = JsonValue::parse(

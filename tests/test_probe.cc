@@ -11,6 +11,7 @@
 
 #include "assembler/builder.hh"
 #include "common/fault.hh"
+#include "common/fields.hh"
 #include "exp/experiment.hh"
 #include "exp/parallel.hh"
 #include "exp/simcache.hh"
@@ -46,28 +47,12 @@ countdownProgram(uint32_t n)
     return b.finish();
 }
 
-/** Field-for-field equality of two RunResults (the observable core). */
+/** Field-for-field equality of two RunResults: every fields() member. */
 void
 expectSameResult(const RunResult &a, const RunResult &b,
                  const std::string &what)
 {
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.annulled, b.annulled);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.fetchToggleBits, b.fetchToggleBits);
-    EXPECT_EQ(a.fetchBitsTotal, b.fetchBitsTotal);
-    EXPECT_EQ(a.icacheRefillWords, b.icacheRefillWords);
-    EXPECT_EQ(a.dmemAccesses, b.dmemAccesses);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.icache.reads, b.icache.reads);
-    EXPECT_EQ(a.icache.readMisses, b.icache.readMisses);
-    EXPECT_EQ(a.dcache.reads, b.dcache.reads);
-    EXPECT_EQ(a.dcache.readMisses, b.dcache.readMisses);
-    EXPECT_EQ(a.dcache.writes, b.dcache.writes);
-    EXPECT_EQ(a.dcache.writeMisses, b.dcache.writeMisses);
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.io.emitted, b.io.emitted);
+    EXPECT_EQ(diffFields(a, b), std::vector<std::string>()) << what;
 }
 
 /** An observer that counts every event it sees. */

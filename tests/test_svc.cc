@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -16,12 +17,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/fields.hh"
 #include "common/fileio.hh"
 #include "exp/experiment.hh"
 #include "exp/simcache.hh"
@@ -91,44 +94,11 @@ sampleKey()
             0x9999aaaabbbbccccull, 0xddddeeeeffff0001ull};
 }
 
+/** Every field a store entry carries (fields(), common/fields.hh). */
 void
 expectSameResult(const SimResult &a, const SimResult &b)
 {
-    EXPECT_EQ(a.run.benchmark, b.run.benchmark);
-    EXPECT_EQ(a.run.config, b.run.config);
-    EXPECT_EQ(a.run.instructions, b.run.instructions);
-    EXPECT_EQ(a.run.annulled, b.run.annulled);
-    EXPECT_EQ(a.run.cycles, b.run.cycles);
-    EXPECT_EQ(a.run.clockHz, b.run.clockHz);
-    EXPECT_EQ(a.run.icache.reads, b.run.icache.reads);
-    EXPECT_EQ(a.run.icache.readMisses, b.run.icache.readMisses);
-    EXPECT_EQ(a.run.icache.parityDetections,
-              b.run.icache.parityDetections);
-    EXPECT_EQ(a.run.dcache.writes, b.run.dcache.writes);
-    EXPECT_EQ(a.run.dcache.writebacks, b.run.dcache.writebacks);
-    EXPECT_EQ(a.run.fetchToggleBits, b.run.fetchToggleBits);
-    EXPECT_EQ(a.run.fetchBitsTotal, b.run.fetchBitsTotal);
-    EXPECT_EQ(a.run.icacheRefillWords, b.run.icacheRefillWords);
-    EXPECT_EQ(a.run.dmemAccesses, b.run.dmemAccesses);
-    EXPECT_EQ(a.run.takenBranches, b.run.takenBranches);
-    EXPECT_EQ(a.run.io.console, b.run.io.console);
-    EXPECT_EQ(a.run.io.emitted, b.run.io.emitted);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(a.run.finalState.regs[i], b.run.finalState.regs[i]);
-    EXPECT_EQ(a.run.finalState.flags.z, b.run.finalState.flags.z);
-    EXPECT_EQ(a.run.finalState.halted, b.run.finalState.halted);
-    EXPECT_EQ(a.run.outcome, b.run.outcome);
-    EXPECT_EQ(a.run.trapReason, b.run.trapReason);
-    EXPECT_EQ(a.faultRetries, b.faultRetries);
-    ASSERT_EQ(a.intervals.size(), b.intervals.size());
-    for (size_t i = 0; i < a.intervals.size(); ++i) {
-        EXPECT_EQ(a.intervals[i].firstInstruction,
-                  b.intervals[i].firstInstruction);
-        EXPECT_EQ(a.intervals[i].cycles, b.intervals[i].cycles);
-        EXPECT_EQ(a.intervals[i].toggleBits,
-                  b.intervals[i].toggleBits);
-    }
-    EXPECT_EQ(a.tracePath, b.tracePath);
+    EXPECT_EQ(diffFields(a, b), std::vector<std::string>());
 }
 
 /** Connect to @p path; gtest-asserts on failure. */
@@ -918,6 +888,146 @@ TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
     ccfg.socketPath = ts.config.socketPath;
     SvcClient client(ccfg);
     EXPECT_TRUE(client.ping());
+}
+
+// --- fields() codecs: pinned bytes, range checks, hostile input ----------
+
+TEST(SvcProto, StoreEntryBytesArePinned)
+{
+    // Captured before the codecs were derived from fields(): the store
+    // and wire format is a contract with every existing store, so any
+    // drift has to be deliberate.
+    const std::string line =
+        R"({"schema":"pfits-store-v1",)"
+        R"("key":{"program":"0x1111222233334444",)"
+        R"("config":"0x5555666677778888","faults":"0x9999aaaabbbbcccc",)"
+        R"("observers":"0xddddeeeeffff0001"},)"
+        R"("result":{"run":{"benchmark":"crc32","config":"ARM16",)"
+        R"("instructions":123456,"annulled":789,"cycles":98765,)"
+        R"("clock_hz":200000000,"icache":{"reads":100,"writes":0,)"
+        R"("read_misses":7,"write_misses":0,"writebacks":0,)"
+        R"("faults_injected":2,"parity_detections":1,)"
+        R"("corrupt_deliveries":1,"way_memo_hits":0},"dcache":{"reads":50,)"
+        R"("writes":25,"read_misses":3,"write_misses":2,"writebacks":4,)"
+        R"("faults_injected":0,"parity_detections":0,)"
+        R"("corrupt_deliveries":0,"way_memo_hits":0},)"
+        R"("fetch_toggle_bits":4242,"fetch_bits_total":999999,)"
+        R"("icache_refill_words":56,"dmem_accesses":75,)"
+        R"("taken_branches":1200,"io":{"console":"hello\n",)"
+        R"("emitted":[3735928559,7]},"final_state":{"regs":[4096,4097,4098,)"
+        R"(4099,4100,4101,4102,4103,4104,4105,4106,4107,4108,4109,4110,)"
+        R"(4111],"flags":{"n":false,"z":true,"c":true,"v":false},)"
+        R"("halted":true},"outcome":"completed","trap_reason":""},)"
+        R"("fault_retries":2,"intervals":[{"first_instruction":0,)"
+        R"("instructions":1000,"cycles":900,"icache_accesses":800,)"
+        R"("icache_misses":5,"toggle_bits":321,"fetch_bits":32000},)"
+        R"({"first_instruction":1000,"instructions":1000,"cycles":950,)"
+        R"("icache_accesses":810,"icache_misses":2,"toggle_bits":345,)"
+        R"("fetch_bits":32000}],"trace_path":""}})";
+    EXPECT_EQ(encodeResultEntry(sampleKey(), sampleResult()),
+              line + "\nchecksum 0x77c821fe76b75a91\n");
+}
+
+TEST(SvcProto, OutOfRangeNumbersAreRejected)
+{
+    // Every integer field reads through one checked conversion: a value
+    // its member cannot hold exactly is an error, never a wrapped
+    // (-1), truncated (2.5) or out-of-range (2^32, 1e300) cast.
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    writeCoreConfigJson(w, CoreConfig{});
+    const std::string good = os.str();
+    const std::string field = "\"assoc\":32";
+    ASSERT_NE(good.find(field), std::string::npos);
+    auto withAssoc = [&](const std::string &value) {
+        std::string text = good;
+        text.replace(text.find(field), field.size(),
+                     "\"assoc\":" + value);
+        return JsonValue::parse(text);
+    };
+    CoreConfig core;
+    for (const char *bad : {"-1", "2.5", "4294967296", "1e300"})
+        EXPECT_FALSE(parseCoreConfigJson(withAssoc(bad), &core)) << bad;
+    ASSERT_TRUE(parseCoreConfigJson(withAssoc("4294967295"), &core));
+    EXPECT_EQ(core.icache.assoc, 4294967295u);
+
+    // 64-bit counters stop at 2^64, the first double past uint64_t.
+    CacheStats stats;
+    std::ostringstream ss;
+    JsonWriter sw(ss, 0);
+    writeFieldsJson(sw, stats);
+    std::string text = ss.str();
+    text.replace(text.find(":0"), 2, ":18446744073709551616");
+    EXPECT_FALSE(parseFieldsJson(JsonValue::parse(text), &stats));
+}
+
+TEST(SvcService, OutOfRangeSimRequestFieldsAreRejected)
+{
+    // The server's own numeric fields take the same checked path.
+    TestServer ts;
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.field("schema", kSvcSchema);
+    w.field("op", "sim");
+    w.key("key");
+    writeKeyJson(w, sampleKey());
+    w.field("bench", "crc32");
+    w.field("isa", "arm");
+    w.key("core");
+    writeCoreConfigJson(w, CoreConfig{});
+    w.endObject();
+    std::string base = os.str();
+    base.pop_back(); // reopen the object to append the field under test
+
+    auto expectRejected = [&](const std::string &tail) {
+        JsonValue resp = JsonValue::parse(
+            rawRequest(ts.config.socketPath, base + tail));
+        EXPECT_FALSE(resp.get("ok").asBool()) << tail;
+        EXPECT_NE(resp.get("error").asString().find("sim: bad"),
+                  std::string::npos)
+            << resp.get("error").asString();
+    };
+    for (const char *bad : {"-1", "2.5", "4294967296", "1e300"})
+        expectRejected(std::string(",\"max_retries\":") + bad + "}");
+    for (const char *bad :
+         {"-1", "2.5", "18446744073709551616", "1e300"})
+        expectRejected(
+            std::string(",\"observers\":{\"interval_instructions\":") +
+            bad + "}}");
+}
+
+TEST(SvcService, HostileNestingGetsAnErrorAndTheDaemonKeepsServing)
+{
+    TestServer ts;
+    JsonValue resp = JsonValue::parse(
+        rawRequest(ts.config.socketPath, std::string(100'000, '[')));
+    ASSERT_TRUE(resp.isObject());
+    EXPECT_FALSE(resp.get("ok").asBool());
+    EXPECT_NE(resp.get("error").asString().find("nesting too deep"),
+              std::string::npos)
+        << resp.get("error").asString();
+
+    SvcClientConfig ccfg;
+    ccfg.socketPath = ts.config.socketPath;
+    SvcClient client(ccfg);
+    EXPECT_TRUE(client.ping());
+}
+
+TEST(SvcService, EndedConnectionThreadsAreJoined)
+{
+    // One connection at a time, 500 times: a thread per connection
+    // ever served used to pile up until stop() (and abort the daemon
+    // once the process ran out of threads).
+    TestServer ts;
+    size_t peak = 0;
+    for (int i = 0; i < 500; ++i) {
+        JsonValue resp = JsonValue::parse(rawRequest(
+            ts.config.socketPath, "{\"op\":\"hello\"}"));
+        ASSERT_TRUE(resp.get("ok").asBool());
+        peak = std::max(peak, ts.server->connectionThreads());
+    }
+    EXPECT_LE(peak, 8u);
 }
 
 } // namespace
