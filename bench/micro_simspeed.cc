@@ -174,10 +174,15 @@ BENCHMARK(BM_SuiteSweep)
 void
 BM_Profile(benchmark::State &state)
 {
+    uint64_t instructions = 0;
     for (auto _ : state) {
         ProfileInfo info = profileProgram(crcProgram());
+        instructions += info.totalDynamic;
         benchmark::DoNotOptimize(info.totalDynamic);
     }
+    state.counters["Minstr/s"] = benchmark::Counter(
+        static_cast<double>(instructions) / 1e6,
+        benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Profile)->Unit(benchmark::kMillisecond);
 

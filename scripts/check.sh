@@ -6,7 +6,11 @@
 # under every build flavour. The ctest suites include the trace_smoke
 # gate (scripts/trace_smoke.sh): --trace-out timelines from a bench
 # and from pfitsd must validate via `pfits_report validate-trace`, so
-# the tracing layer gets a sanitized pass too.
+# the tracing layer gets a sanitized pass too, and the svc_crash_fuzz
+# gate (scripts/svc_crash_fuzz.sh): SIGKILL pfitsd mid-write, damage
+# its store, restart, and require quarantine plus tables identical to
+# daemon-less runs — so the daemon's kill/restart/quarantine paths run
+# plain, under ASan and under UBSan.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -71,12 +75,6 @@ echo "=== golden snapshots (fast backend) ==="
 echo "=== bench regression (manifests) ==="
 "$repo/scripts/bench_regress.sh" "$repo/build"
 
-# pfitsd crash/corruption fuzz: SIGKILL the daemon mid-write, truncate
-# and bit-flip store entries, restart, and require quarantine plus
-# results byte-identical to daemon-less runs (see docs/SERVICE.md).
-echo "=== pfitsd crash fuzz ==="
-"$repo/scripts/svc_crash_fuzz.sh" "$repo/build"
-
 # The sanitized pass pins PFITS_JOBS=4 so the experiment engine's
 # thread pool, SimCache and Runner run genuinely concurrent even on
 # small CI hosts — races surface under TSan-less ASan as heap errors.
@@ -102,11 +100,6 @@ PFITS_JOBS=4 "$repo/build-asan/src/verify/pfits_verify" --no-random \
     --no-timing --chip-count 50 --chip-tiles 4
 echo "=== golden snapshots (ASan, fast backend) ==="
 "$repo/scripts/golden_check.sh" "$repo/build-asan" --backend=fast
-
-# One crash-fuzz pass with the daemon and clients under ASan: the
-# kill/restart/quarantine paths get leak and overflow coverage.
-echo "=== pfitsd crash fuzz (ASan) ==="
-PFITS_JOBS=4 "$repo/scripts/svc_crash_fuzz.sh" "$repo/build-asan"
 
 PFITS_JOBS=4 run_suite "$repo/build-ubsan" -DUBSAN=ON
 

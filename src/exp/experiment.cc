@@ -159,17 +159,19 @@ prepareBenchmark(const std::string &bench_name,
     prep.result->thumbBytes =
         thumbEstimate(workload.program).codeBytes();
 
-    ProfileInfo profile = profileProgram(workload.program);
+    // Decode once: the profile runs on the same front-end the ARM
+    // configurations simulate.
+    prep.armFe =
+        std::make_unique<ArmFrontEnd>(std::move(workload.program));
+    ProfileInfo profile = profileFrontEnd(*prep.armFe);
     FitsIsa isa = synthesize(profile, params.synth, bench_name);
     FitsProgram fits_prog =
-        translateProgram(workload.program, isa, profile);
+        translateProgram(prep.armFe->program(), isa, profile);
     prep.result->fitsBytes = fits_prog.codeBytes();
     prep.result->mapping = fits_prog.mapping;
     prep.result->isaSlots = isa.slots.size();
     prep.result->regBits = isa.regBits;
 
-    prep.armFe =
-        std::make_unique<ArmFrontEnd>(std::move(workload.program));
     prep.fitsFe = std::make_unique<FitsFrontEnd>(std::move(fits_prog));
     return prep;
 }

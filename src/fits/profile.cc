@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "common/logging.hh"
-#include "sim/executor.hh"
+#include "sim/machine.hh"
 
 namespace pfits
 {
@@ -151,43 +150,26 @@ accumulate(ProfileInfo &info, const MicroOp &uop, uint64_t weight,
 ProfileInfo
 profileProgram(const Program &prog, bool run_dynamic, uint64_t max_instrs)
 {
+    return profileFrontEnd(ArmFrontEnd(prog), run_dynamic, max_instrs);
+}
+
+ProfileInfo
+profileFrontEnd(const ArmFrontEnd &fe, bool run_dynamic,
+                uint64_t max_instrs)
+{
     ProfileInfo info;
-    std::vector<MicroOp> uops = prog.decodeAll();
+    const std::vector<MicroOp> &uops = fe.uops();
     info.totalStatic = uops.size();
-    info.dynCounts.assign(uops.size(), 0);
 
     if (run_dynamic) {
-        Memory mem;
-        for (const DataSegment &seg : prog.data)
-            mem.writeBytes(seg.base, seg.bytes);
-        CpuState state;
-        state.regs[SP] = prog.stackTop;
-        IoSinks io;
-        AddrCodec codec{prog.codeBase, 2};
-        ExecInfo exec_info;
-        uint64_t index = 0;
-        uint64_t executed = 0;
-        while (!state.halted) {
-            if (index >= uops.size())
-                fatal("profile of '%s': fell off the end of the program",
-                      prog.name.c_str());
-            if (executed++ >= max_instrs)
-                fatal("profile of '%s': exceeded instruction cap",
-                      prog.name.c_str());
-            ++info.dynCounts[static_cast<size_t>(index)];
-            execute(uops[static_cast<size_t>(index)], index, codec, state,
-                    mem, io, exec_info);
-            index = exec_info.nextIndex;
-        }
-        info.totalDynamic = executed;
+        info.dynCounts = countRetires(fe, max_instrs, info.totalDynamic);
     } else {
         // Static estimate: every instruction "runs once".
-        for (auto &count : info.dynCounts)
-            count = 1;
+        info.dynCounts.assign(uops.size(), 1);
         info.totalDynamic = uops.size();
     }
 
-    info.mergeablePairs = findMovPairs(prog, uops);
+    info.mergeablePairs = findMovPairs(fe.program(), uops);
     std::set<uint32_t> pair_lo(info.mergeablePairs.begin(),
                                info.mergeablePairs.end());
 

@@ -19,6 +19,7 @@
 
 #include "assembler/program.hh"
 #include "fits/signature.hh"
+#include "sim/frontend.hh"
 
 namespace pfits
 {
@@ -74,14 +75,23 @@ struct ProfileInfo
 };
 
 /**
- * Profile @p prog.
+ * Profile @p fe's ARM program.
  *
- * @param prog        the ARM program
+ * The dynamic counts come from a functional run on the fast backend's
+ * handlers (countRetires, sim/machine.hh), checked against an
+ * executor-driven oracle (verify/profile_oracle.hh).
+ *
+ * @param fe          the decoded ARM program; profiled without
+ *                    decoding it again
  * @param run_dynamic execute the program functionally to obtain dynamic
  *                    counts (otherwise static counts are used as the
  *                    dynamic estimate, as a pure static profile would)
  * @param max_instrs  cap on profiled dynamic instructions
  */
+ProfileInfo profileFrontEnd(const ArmFrontEnd &fe, bool run_dynamic = true,
+                            uint64_t max_instrs = 400'000'000);
+
+/** profileFrontEnd() over a freshly decoded @p prog. */
 ProfileInfo profileProgram(const Program &prog, bool run_dynamic = true,
                            uint64_t max_instrs = 400'000'000);
 

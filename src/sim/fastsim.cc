@@ -29,7 +29,10 @@
  *    observers get the same typed event stream via the HasExtra
  *    template stamp, so TimingInvariantChecker, interval stats and
  *    traces replay against this backend unchanged. A second HasFaults
- *    stamp drops the soft-error machinery from fault-free runs.
+ *    stamp drops the soft-error machinery from fault-free runs;
+ *  - profiling: countRetires() dispatches the same predecoded trace
+ *    and handlers with no caches, scoreboard or observers, and gives
+ *    the FITS profiler its per-instruction counts.
  *
  * CORRECTNESS CONTRACT: every handler and every timing statement here
  * replicates machine.cc/executor.cc exactly — same operation order,
@@ -1724,6 +1727,49 @@ Machine::fastRun(FaultPlan *faults, ObserverList *observers)
                                                 faults, nullptr);
     return fastLoopImpl<false, false, false>(fe_, config_, mem_,
                                              nullptr, nullptr);
+}
+
+std::vector<uint64_t>
+countRetires(const FrontEnd &fe, uint64_t max_instrs,
+             uint64_t &dispatched)
+{
+    const std::vector<FastOp> ops = predecode(fe);
+    const FastOp *const code = ops.data();
+    const size_t num_insns = ops.size();
+    std::vector<uint64_t> counts(num_insns, 0);
+
+    Memory mem;
+    for (const DataSegment &seg : fe.dataSegments())
+        mem.writeBytes(seg.base, seg.bytes);
+    FastCtx ctx(mem);
+    ctx.state.regs[SP] = fe.stackTop();
+    ctx.codec = fe.codec();
+
+    uint64_t index = 0;
+    uint64_t executed = 0;
+    while (!ctx.state.halted) {
+        if (index >= num_insns)
+            fatal("profile of '%s': fell off the end of the program",
+                  fe.name().c_str());
+        if (executed++ >= max_instrs)
+            fatal("profile of '%s': exceeded instruction cap",
+                  fe.name().c_str());
+        ++counts[index];
+        const FastOp &op = code[index];
+        const Cond cond = static_cast<Cond>(op.cond);
+        if (cond == Cond::AL || condPasses(cond, ctx.state.flags)) {
+            op.fn(ctx, op);
+            // Only an executed branch redirects; everything else —
+            // annulled branches included — falls through.
+            if (op.flags & kIsBranch) {
+                index = ctx.nextIndex;
+                continue;
+            }
+        }
+        ++index;
+    }
+    dispatched = executed;
+    return counts;
 }
 
 } // namespace pfits

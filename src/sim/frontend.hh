@@ -84,6 +84,7 @@ class ArmFrontEnd : public FrontEnd
     uint32_t codeBytes() const override { return prog_.codeBytes(); }
 
     const Program &program() const { return prog_; }
+    const std::vector<MicroOp> &uops() const { return uops_; }
 
   private:
     Program prog_;

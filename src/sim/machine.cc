@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -87,11 +88,33 @@ RunResult::addStats(StatGroup &group) const
         "corrupt I-cache lines consumed silently");
 }
 
+std::string
+CoreConfig::validateError() const
+{
+    for (const CacheConfig *cache : {&icache, &dcache}) {
+        std::string err = cache->validateError();
+        if (!err.empty())
+            return err;
+    }
+    // Written so that NaN fails too: every comparison with it is false.
+    if (!(std::isfinite(clockHz) && clockHz > 0 && clockHz <= kMaxClockHz))
+        return detail::format("core '%s': clock %g Hz outside (0, %g]",
+                              name.c_str(), clockHz, kMaxClockHz);
+    return "";
+}
+
+void
+CoreConfig::validate() const
+{
+    std::string err = validateError();
+    if (!err.empty())
+        fatal("%s", err.c_str());
+}
+
 Machine::Machine(const FrontEnd &fe, const CoreConfig &config)
     : fe_(fe), config_(config)
 {
-    config_.icache.validate();
-    config_.dcache.validate();
+    config_.validate();
     for (const DataSegment &seg : fe_.dataSegments())
         mem_.writeBytes(seg.base, seg.bytes);
 }

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/fault.hh"
@@ -141,6 +142,23 @@ struct CoreConfig
      * only when non-default so existing interp keys stay stable.
      */
     SimBackend backend = SimBackend::Interp;
+
+    /**
+     * Highest accepted clockHz. Far above any modelled core, low
+     * enough that run times (cycles / clockHz) and power (energy x
+     * clockHz) stay finite and meaningful.
+     */
+    static constexpr double kMaxClockHz = 1e12;
+
+    /**
+     * "" when the core can be simulated; otherwise why not: a cache
+     * geometry CacheConfig::validateError() rejects, or a clockHz that
+     * is not finite and in (0, kMaxClockHz].
+     */
+    std::string validateError() const;
+
+    /** fatal() unless validateError() returns "". */
+    void validate() const;
 
     //! The field list (common/fields.hh). backend is omitted while
     //! default: interp memo keys and requests predate it.
@@ -267,6 +285,24 @@ class Machine
     CoreConfig config_;
     Memory mem_;
 };
+
+/**
+ * The profiler's functional run (sim/fastsim.cc): predecode @p fe into
+ * the fast backend's FastOp trace and dispatch the same handlers with
+ * no caches, scoreboard or observers, counting every dispatched
+ * instruction — annulled ones included — from a fresh memory image
+ * until SWI_EXIT.
+ *
+ * @param max_instrs cap on dispatches: the (max_instrs + 1)-th
+ *                   dispatch is fatal
+ * @param dispatched out: total dispatches (the sum of the counts)
+ * @return per-instruction dispatch counts, indexed like @p fe
+ * @throws FatalError when control falls off the end of the program or
+ *         the cap is exceeded; TrapError on an architectural trap
+ */
+std::vector<uint64_t> countRetires(const FrontEnd &fe,
+                                   uint64_t max_instrs,
+                                   uint64_t &dispatched);
 
 } // namespace pfits
 

@@ -499,6 +499,10 @@ SvcServer::handleSim(const JsonValue &req)
     CoreConfig core;
     if (!parseCoreConfigJson(req.get("core"), &core))
         return errorResponse("sim: bad core config");
+    // A parseable core that cannot be simulated (say clock_hz -1) is
+    // refused here, before it is keyed, computed or stored.
+    if (std::string err = core.validateError(); !err.empty())
+        return errorResponse("sim: bad core config: " + err);
     FaultParams faults;
     if (req.has("faults") &&
         !parseFaultParamsJson(req.get("faults"), &faults))

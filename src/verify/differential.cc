@@ -16,6 +16,7 @@
 #include "sim/machine.hh"
 #include "sim/probe.hh"
 #include "verify/golden.hh"
+#include "verify/profile_oracle.hh"
 #include "verify/randprog.hh"
 #include "verify/timing.hh"
 
@@ -247,9 +248,13 @@ diffProgram(const Program &prog, uint64_t seed,
         out.push_back(detail::format(
             "arm32 vs packed: memory differs at 0x%08x", *addr));
 
-    // 4. The synthesized 16-bit ISA on the programmable decoder.
+    // 4. The profiler's dispatch counts, taken on the fast backend's
+    // handlers, against the executor-driven oracle.
+    diffRetireCounts(arm, out);
+
+    // 5. The synthesized 16-bit ISA on the programmable decoder.
     try {
-        ProfileInfo profile = profileProgram(prog);
+        ProfileInfo profile = profileFrontEnd(arm);
         FitsIsa isa = synthesize(profile, SynthParams{}, prog.name);
         FitsProgram fits_prog = translateProgram(prog, isa, profile);
         FitsFrontEnd fits(std::move(fits_prog));

@@ -9,7 +9,11 @@
  *  2. arm32   — the fixed ARM decoder on the timing Machine;
  *  3. packed  — the same Machine with the packed-fetch buffer on
  *               (fetch-path variation must never change architecture);
- *  4. fits16  — the program profiled, synthesized (default
+ *  4. profile — the profiler's per-instruction dispatch counts
+ *               (countRetires) against the executor-driven oracle
+ *               (verify/profile_oracle.hh): counts, total and any
+ *               error text must match;
+ *  5. fits16  — the program profiled, synthesized (default
  *               SynthParams) and translated to its per-application
  *               16-bit ISA, run on the programmable decoder.
  *
@@ -67,7 +71,8 @@ struct DiffReport
 };
 
 /**
- * Run @p prog on all four backends and cross-check.
+ * Run @p prog on all four backends, check its profile counts against
+ * the oracle, and cross-check.
  * @param seed     recorded in the report for reproduction (0 = kernel)
  * @param expected when non-null, the independently computed golden
  *                 checksum (MiBench's C++ reference) the golden

@@ -9,7 +9,8 @@
  *
  * Runs the differential suite (21 MiBench kernels + N seeded random
  * programs across golden/arm32/packed/fits16, each Machine config
- * also cross-executed as a one-tile Chip under "both") and the
+ * also cross-executed as a one-tile Chip under "both", and each
+ * program's profile counts checked against the executor oracle) and the
  * timing-invariant sweep (21 benchmarks x the paper's 4 configs).
  * --backend picks the Machine execution loop(s): "both" (default)
  * runs every config on the interpreter *and* the fast backend and

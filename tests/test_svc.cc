@@ -997,6 +997,42 @@ TEST(SvcService, OutOfRangeSimRequestFieldsAreRejected)
             bad + "}}");
 }
 
+TEST(SvcService, UnsimulableClockIsRejectedAndTheDaemonKeepsServing)
+{
+    // clock_hz parses as any JSON number; a core that cannot run is
+    // refused before it is keyed, simulated or stored.
+    TestServer ts;
+    for (double bad : {-1.0, 0.0, 1e300}) {
+        CoreConfig core;
+        core.clockHz = bad;
+        std::ostringstream os;
+        JsonWriter w(os, 0);
+        w.beginObject();
+        w.field("schema", kSvcSchema);
+        w.field("op", "sim");
+        w.key("key");
+        writeKeyJson(w, sampleKey());
+        w.field("bench", "crc32");
+        w.field("isa", "arm");
+        w.key("core");
+        writeCoreConfigJson(w, core);
+        w.endObject();
+        JsonValue resp =
+            JsonValue::parse(rawRequest(ts.config.socketPath, os.str()));
+        EXPECT_FALSE(resp.get("ok").asBool()) << bad;
+        EXPECT_NE(resp.get("error").asString().find(
+                      "sim: bad core config"),
+                  std::string::npos)
+            << resp.get("error").asString();
+    }
+    EXPECT_EQ(ts.server->store().stats().entries, 0u);
+
+    SvcClientConfig ccfg;
+    ccfg.socketPath = ts.config.socketPath;
+    SvcClient client(ccfg);
+    EXPECT_TRUE(client.ping());
+}
+
 TEST(SvcService, HostileNestingGetsAnErrorAndTheDaemonKeepsServing)
 {
     TestServer ts;

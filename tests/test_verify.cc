@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "sim/probe.hh"
 #include "verify/differential.hh"
 #include "verify/golden.hh"
+#include "verify/profile_oracle.hh"
 #include "verify/randprog.hh"
 #include "verify/timing.hh"
 
@@ -238,6 +240,128 @@ TEST(TimingInvariants, FullSweepAcrossBenchmarksAndConfigs)
     std::vector<std::string> fails = runTimingInvariantSweep();
     EXPECT_TRUE(fails.empty())
         << fails.size() << " failing runs; first: " << fails.front();
+}
+
+// --- profile dispatch counts vs the executor-driven oracle --------------
+
+std::string
+joined(const std::vector<std::string> &lines)
+{
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + "\n";
+    return text;
+}
+
+/** The error countRetires throws on @p fe, or "" when it returns. */
+std::string
+fastCountError(const FrontEnd &fe, uint64_t max_instrs)
+{
+    uint64_t dispatched = 0;
+    try {
+        countRetires(fe, max_instrs, dispatched);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Profile, FastCountsMatchOracle)
+{
+    std::vector<std::string> out;
+    for (const mibench::BenchInfo &info : mibench::suite())
+        diffRetireCounts(ArmFrontEnd(info.build().program), out);
+
+    // The random corpus must exercise annulled instructions (failed
+    // conditions), which both sides count as dispatched.
+    uint64_t annulled = 0;
+    for (uint64_t seed = 1; seed <= 32; ++seed) {
+        ArmFrontEnd fe(randomVerifyProgram(seed));
+        diffRetireCounts(fe, out);
+        annulled += GoldenInterpreter(fe).run().annulled;
+    }
+    EXPECT_GT(annulled, 0u);
+    EXPECT_TRUE(out.empty()) << joined(out);
+}
+
+TEST(Profile, AnnulledInstructionsAreCounted)
+{
+    ProgramBuilder b("annul");
+    Label skip = b.label();
+    b.movi(R0, 1);
+    b.cmp(R0, R0);               // Z=1
+    b.addi(R1, R0, 5, Cond::NE); // annulled
+    b.b(skip, Cond::NE);         // annulled branch falls through
+    b.addi(R1, R0, 7, Cond::EQ); // executes
+    b.bind(skip);
+    b.exit();
+    ArmFrontEnd fe(b.finish());
+
+    uint64_t dispatched = 0;
+    std::vector<uint64_t> counts = countRetires(fe, 100, dispatched);
+    EXPECT_EQ(counts, std::vector<uint64_t>(6, 1));
+    EXPECT_EQ(dispatched, 6u);
+    std::vector<std::string> out;
+    diffRetireCounts(fe, out);
+    EXPECT_TRUE(out.empty()) << joined(out);
+}
+
+TEST(Profile, FastAndOracleFailWithTheSameText)
+{
+    constexpr uint64_t kCap = 100;
+    struct Case
+    {
+        const char *name;
+        std::function<void(ProgramBuilder &)> body;
+        const char *error;
+    };
+    const Case cases[] = {
+        {"badswi", [](ProgramBuilder &b) { b.swi(99); },
+         "unknown swi #99"},
+        {"misaligned",
+         [](ProgramBuilder &b) {
+             b.movi(R0, 0x1001);
+             b.ldr(R1, R0);
+         },
+         "misaligned word read at 0x00001001"},
+        {"badret",
+         [](ProgramBuilder &b) {
+             b.movi(LR, 2);
+             b.ret();
+         },
+         "ret to unaligned or out-of-range address 0x00000002"},
+        {"falloff", [](ProgramBuilder &b) { b.movi(R0, 1); },
+         "profile of 'falloff': fell off the end of the program"},
+        {"spin",
+         [](ProgramBuilder &b) {
+             Label loop = b.here();
+             b.b(loop);
+         },
+         "profile of 'spin': exceeded instruction cap"},
+    };
+    for (const Case &c : cases) {
+        ProgramBuilder b(c.name);
+        c.body(b);
+        ArmFrontEnd fe(b.finish());
+        EXPECT_EQ(fastCountError(fe, kCap), c.error) << c.name;
+        std::vector<std::string> out;
+        diffRetireCounts(fe, out, kCap);
+        EXPECT_TRUE(out.empty()) << c.name << ": " << joined(out);
+    }
+}
+
+TEST(Profile, CapAllowsExactlyMaxDispatches)
+{
+    // The cap rule is `dispatched++ >= max`: a program that halts on
+    // its max-th dispatch completes, one more would be fatal.
+    ProgramBuilder b("three");
+    b.movi(R0, 1);
+    b.movi(R1, 2);
+    b.exit();
+    ArmFrontEnd fe(b.finish());
+    EXPECT_EQ(fastCountError(fe, 3), "");
+    EXPECT_EQ(fastCountError(fe, 2),
+              "profile of 'three': exceeded instruction cap");
 }
 
 } // namespace
